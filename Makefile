@@ -23,6 +23,7 @@ fuzz-smoke:
 	go test -run='^$$' -fuzz='^FuzzDecode$$' -fuzztime=30s ./internal/wire
 	go test -run='^$$' -fuzz='^FuzzDecodeBorrowed$$' -fuzztime=30s ./internal/wire
 	go test -run='^$$' -fuzz='^FuzzLiveIngress$$' -fuzztime=30s ./internal/live
+	go test -run='^$$' -fuzz='^FuzzRecvStream$$' -fuzztime=30s ./internal/stream
 
 bench:
 	sh scripts/bench.sh

@@ -92,6 +92,7 @@ func (r GetResult) GoodputBps() float64 {
 // handshake completes.
 type GetClient struct {
 	conn   *core.Conn
+	stream *core.Stream
 	size   uint64
 	start  time.Duration
 	now    func() time.Duration
@@ -109,6 +110,7 @@ func NewGetClient(conn *core.Conn, size uint64, now func() time.Duration, onDone
 
 func (g *GetClient) sendRequest() {
 	s := g.conn.OpenStream()
+	g.stream = s
 	hsDone := g.now()
 	s.OnData(func() {
 		if n := s.Readable(); n > 0 {
@@ -125,6 +127,10 @@ func (g *GetClient) sendRequest() {
 	s.Write([]byte(FormatGet(g.size)))
 	s.Close()
 }
+
+// Stream returns the download's stream, or nil before the handshake
+// completes. It stays usable after the connection retires the stream.
+func (g *GetClient) Stream() *core.Stream { return g.stream }
 
 // Result returns the finished download, or nil while in flight.
 func (g *GetClient) Result() *GetResult { return g.result }

@@ -7,8 +7,8 @@
 //
 // Single-path QUIC is the same engine with multipath disabled, exactly
 // as the paper's implementation extends quic-go (one codebase, the
-// multipath machinery dormant); package mpquic/internal/quic exposes
-// that configuration.
+// multipath machinery dormant); DefaultSinglePathConfig is that
+// configuration.
 package core
 
 import (

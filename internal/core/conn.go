@@ -63,9 +63,18 @@ type Conn struct {
 
 	connFC        *stream.FlowController
 	connRecvTotal uint64
-	streams       map[wire.StreamID]*Stream
-	streamOrder   []wire.StreamID
-	nextStreamID  wire.StreamID
+	// streams and streamOrder hold only live streams: a stream leaves
+	// both once it is done (see retireIfDone), so send passes walk what
+	// is still active, not every stream the connection ever carried.
+	streams      map[wire.StreamID]*Stream
+	streamOrder  []wire.StreamID
+	nextStreamID wire.StreamID
+	// retired records the IDs of retired streams, one set per ID
+	// parity (initiator) over id/2, so that consecutively retired
+	// streams coalesce into one interval. Peers' streams can arrive
+	// and finish out of order across paths, so a highest-ID watermark
+	// would not do.
+	retired [2]stream.IntervalSet
 
 	ctrl []wire.Frame // control frames the scheduler may route anywhere
 
@@ -532,6 +541,7 @@ func (c *Conn) onFramesAcked(frames []wire.Frame) {
 				if s.onAcked != nil && s.AllAcked() {
 					s.onAcked()
 				}
+				c.retireIfDone(s)
 			}
 		case *wire.HandshakeFrame:
 			switch fr.Message {
@@ -551,10 +561,13 @@ func (c *Conn) requeueFrames(frames []wire.Frame) {
 	for _, f := range frames {
 		switch fr := f.(type) {
 		case *wire.StreamFrame:
+			// A retired stream's lost frame was acked through another
+			// copy and needs no resend; it still counts, as it did
+			// while finished streams were kept.
 			if s, ok := c.streams[fr.StreamID]; ok {
 				s.send.OnFrameLost(fr.Offset, fr.Len(), fr.Fin)
-				c.Stats.Retransmissions++
 			}
+			c.Stats.Retransmissions++
 		case *wire.HandshakeFrame:
 			switch fr.Message {
 			case wire.HandshakeCHLO:
@@ -577,6 +590,12 @@ func (c *Conn) requeueFrames(frames []wire.Frame) {
 func (c *Conn) handleStreamFrame(f *wire.StreamFrame) {
 	s, existed := c.streams[f.StreamID]
 	if !existed {
+		if c.isRetired(f.StreamID) {
+			// A late duplicate (or retransmitted FIN) of a finished
+			// stream: the packet is already acked; the stream must not
+			// reopen and reach the application a second time.
+			return
+		}
 		s = c.getOrCreateStream(f.StreamID)
 		if c.onStreamOpen != nil {
 			c.onStreamOpen(s)
@@ -600,6 +619,9 @@ func (c *Conn) handleStreamFrame(f *wire.StreamFrame) {
 	if s.onData != nil && (newBytes > 0 || (!finBefore && s.recv.FinReceived())) {
 		s.onData()
 	}
+	// A bare FIN after every byte was read finishes the stream
+	// without a Read.
+	c.retireIfDone(s)
 }
 
 func (c *Conn) handleWindowUpdate(f *wire.WindowUpdateFrame) {

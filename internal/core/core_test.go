@@ -84,10 +84,10 @@ func TestSinglePathRealDataEcho(t *testing.T) {
 	// A real-bytes request must arrive intact (tests real payload
 	// transport end to end).
 	var got []byte
-	srvGot := make(chan struct{}, 1)
-	_ = srvGot
+	var cs *core.Stream
 	h.client.OnHandshakeComplete(func() {
 		s := h.client.OpenStream()
+		cs = s
 		s.OnData(func() {
 			if n := s.Readable(); n > 0 {
 				_, data := s.Read(n)
@@ -99,8 +99,8 @@ func TestSinglePathRealDataEcho(t *testing.T) {
 	})
 	h.run(t, 5*time.Second)
 	// GetServer answers with 5000 synthetic bytes; synthetic reads
-	// return nil data but count.
-	cs := h.client.StreamByID(3)
+	// return nil data but count. The finished stream is retired, so
+	// the handle, not StreamByID, reaches it.
 	if cs == nil || !cs.Finished() {
 		t.Fatal("response not finished")
 	}
@@ -128,6 +128,14 @@ func TestSinglePathDownloadGoodput(t *testing.T) {
 	gp := res.GoodputBps() / 1e6
 	if gp < 5 || gp > 20 {
 		t.Fatalf("goodput %.1f Mbps out of range", gp)
+	}
+	// The QUIC baseline: one path at each end, running CUBIC.
+	if len(h.client.Paths()) != 1 || len(h.serverConn(t).Paths()) != 1 {
+		t.Fatalf("%d client / %d server paths on a single-path connection",
+			len(h.client.Paths()), len(h.serverConn(t).Paths()))
+	}
+	if name := h.client.Paths()[0].CC().Name(); name != "cubic" {
+		t.Fatalf("baseline must run CUBIC, got %s", name)
 	}
 }
 

@@ -48,13 +48,16 @@ func (s *Stream) Close() {
 func (s *Stream) Readable() uint64 { return s.recv.Readable() }
 
 // Read consumes up to n readable bytes, freeing flow-control credit.
-// data is nil for synthetic payloads.
+// data is nil for synthetic payloads; otherwise it aliases the
+// stream's reassembly buffer and is valid only until the connection
+// ingests its next packet. Copy it to keep it longer.
 func (s *Stream) Read(n uint64) (uint64, []byte) {
 	consumed, data := s.recv.Read(n)
 	if consumed > 0 {
 		s.fc.OnConsume(consumed)
 		s.conn.connFC.OnConsume(consumed)
 		s.conn.maybeQueueWindowUpdates(s)
+		s.conn.retireIfDone(s)
 	}
 	return consumed, data
 }
@@ -90,9 +93,39 @@ func (c *Conn) OpenStream() *Stream {
 	return c.getOrCreateStream(id)
 }
 
-// StreamByID returns an existing stream, or nil.
+// StreamByID returns a live stream, or nil. A stream is retired, and
+// no longer found here, once it is done (see retireIfDone); callers
+// that need a stream past that point keep the *Stream they opened or
+// were handed.
 func (c *Conn) StreamByID(id wire.StreamID) *Stream {
 	return c.streams[id]
+}
+
+// retireIfDone drops s from the connection once both directions are
+// over: everything it sent, FIN included, is acked, and the peer's FIN
+// arrived and every byte was read. A done stream has nothing left to
+// send or deliver, so forgetting it changes no packet; its ID goes
+// into the retired record so late duplicates cannot reopen it. A
+// stream the application never reads never retires.
+func (c *Conn) retireIfDone(s *Stream) {
+	if !s.send.AllAcked() || !s.recv.Finished() || c.streams[s.id] != s {
+		return
+	}
+	delete(c.streams, s.id)
+	for i, id := range c.streamOrder {
+		if id == s.id {
+			c.streamOrder = append(c.streamOrder[:i], c.streamOrder[i+1:]...)
+			break
+		}
+	}
+	k := uint64(s.id / 2)
+	c.retired[s.id&1].Add(k, k+1)
+}
+
+// isRetired reports whether stream id was retired.
+func (c *Conn) isRetired(id wire.StreamID) bool {
+	k := uint64(id / 2)
+	return c.retired[id&1].Contains(k, k+1)
 }
 
 func (c *Conn) getOrCreateStream(id wire.StreamID) *Stream {

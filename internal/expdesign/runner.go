@@ -348,13 +348,13 @@ func RunWithOpts(sc Scenario, proto Protocol, size uint64, startPath int, seed u
 		lis := core.Listen(tp.Net, cfg, tp.ServerAddrs[:nPaths])
 		apps.NewGetServer(lis)
 		client := core.Dial(tp.Net, cfg, core.NewConnID(seed), tp.ClientAddrs[:nPaths], tp.ServerAddrs[:nPaths])
-		apps.NewGetClient(client, size, now, func(r apps.GetResult) {
+		get := apps.NewGetClient(client, size, now, func(r apps.GetResult) {
 			el := r.Elapsed()
 			done = &el
 			clock.Stop()
 		})
 		received = func() uint64 {
-			if s := client.StreamByID(core.FirstClientStream); s != nil {
+			if s := get.Stream(); s != nil {
 				return s.BytesReceived()
 			}
 			return 0
@@ -495,7 +495,7 @@ func RunMPQUICVariant(sc Scenario, cfg core.Config, size uint64, startPath int, 
 	client := core.Dial(tp.Net, cfg, core.NewConnID(seed), tp.ClientAddrs[:nPaths], tp.ServerAddrs[:nPaths])
 	var done *time.Duration
 	now := func() time.Duration { return clock.Now().Duration() }
-	apps.NewGetClient(client, size, now, func(r apps.GetResult) {
+	get := apps.NewGetClient(client, size, now, func(r apps.GetResult) {
 		el := r.Elapsed()
 		done = &el
 		clock.Stop()
@@ -515,7 +515,7 @@ func RunMPQUICVariant(sc Scenario, cfg core.Config, size uint64, startPath int, 
 		return res
 	}
 	res.Elapsed = deadline
-	if s := client.StreamByID(core.FirstClientStream); s != nil {
+	if s := get.Stream(); s != nil {
 		res.BytesRecvd = s.BytesReceived()
 	}
 	res.GoodputBps = float64(res.BytesRecvd) * 8 / deadline.Seconds()

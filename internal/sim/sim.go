@@ -54,6 +54,7 @@ type Event struct {
 	seq  uint64 // tie-break: FIFO among events with equal deadlines
 	fn   func()
 	dead bool // cancelled
+	idx  int  // position in the heap, or -1 outside it
 }
 
 // At reports the deadline of the event.
@@ -112,9 +113,9 @@ func (c *Clock) alloc(at Time, fn func()) *Event {
 		e = c.free[n-1]
 		c.free[n-1] = nil
 		c.free = c.free[:n-1]
-		e.at, e.fn, e.dead = at, fn, false
+		e.at, e.fn, e.dead, e.idx = at, fn, false, -1
 	} else {
-		e = &Event{at: at, fn: fn}
+		e = &Event{at: at, fn: fn, idx: -1}
 	}
 	e.seq = c.seq
 	c.seq++
@@ -164,37 +165,35 @@ func (c *Clock) Pending() int { return len(c.heap) + len(c.nowQ) - c.nowHead }
 //mpq:noescape
 func (c *Clock) heapPush(e *Event) {
 	c.heap = append(c.heap, e)
-	// Sift up.
+	c.siftUp(e, len(c.heap)-1)
+}
+
+// siftUp places e, which belongs at heap slot i or above, moving
+// larger ancestors down.
+//
+//mpq:noescape
+func (c *Clock) siftUp(e *Event, i int) {
 	h := c.heap
-	i := len(h) - 1
 	for i > 0 {
 		parent := (i - 1) / 2
 		if !eventLess(e, h[parent]) {
 			break
 		}
 		h[i] = h[parent]
+		h[i].idx = i
 		i = parent
 	}
 	h[i] = e
+	e.idx = i
 }
 
-// heapPop removes and returns the heap minimum. The caller guarantees
-// the heap is non-empty.
+// siftDown places e, which belongs at heap slot i or below, moving
+// smaller descendants up.
 //
 //mpq:noescape
-func (c *Clock) heapPop() *Event {
+func (c *Clock) siftDown(e *Event, i int) {
 	h := c.heap
-	top := h[0]
-	n := len(h) - 1
-	e := h[n]
-	h[n] = nil
-	c.heap = h[:n]
-	if n == 0 {
-		return top
-	}
-	// Sift e down from the root.
-	h = c.heap
-	i := 0
+	n := len(h)
 	for {
 		child := 2*i + 1
 		if child >= n {
@@ -207,10 +206,47 @@ func (c *Clock) heapPop() *Event {
 			break
 		}
 		h[i] = h[child]
+		h[i].idx = i
 		i = child
 	}
 	h[i] = e
-	return top
+	e.idx = i
+}
+
+// heapRemove takes the event at heap slot i out of the heap.
+//
+//mpq:noescape
+func (c *Clock) heapRemove(i int) *Event {
+	h := c.heap
+	out := h[i]
+	out.idx = -1
+	n := len(h) - 1
+	last := h[n]
+	h[n] = nil
+	c.heap = h[:n]
+	if i < n {
+		c.heapFix(last, i)
+	}
+	return out
+}
+
+// heapFix restores heap order after e, at slot i, changed deadline.
+//
+//mpq:noescape
+func (c *Clock) heapFix(e *Event, i int) {
+	if i > 0 && eventLess(e, c.heap[(i-1)/2]) {
+		c.siftUp(e, i)
+	} else {
+		c.siftDown(e, i)
+	}
+}
+
+// heapPop removes and returns the heap minimum. The caller guarantees
+// the heap is non-empty.
+//
+//mpq:noescape
+func (c *Clock) heapPop() *Event {
+	return c.heapRemove(0)
 }
 
 // peek returns the earliest scheduled event (possibly cancelled) without
@@ -385,10 +421,20 @@ func NewTimer(c *Clock, fn func()) *Timer {
 }
 
 // Reset (re)arms the timer to fire at absolute time at, replacing any
-// previously armed deadline.
+// previously armed deadline. A pending future deadline is moved in
+// place, so a timer re-armed on every packet leaves no cancelled
+// events behind. The moved event takes the next sequence number, as a
+// fresh At would, so the firing order is the same either way.
 func (t *Timer) Reset(at Time) {
+	c := t.clock
+	if e := t.ev; e != nil && e.idx >= 0 && at > c.now {
+		e.at, e.seq = at, c.seq
+		c.seq++
+		c.heapFix(e, e.idx)
+		return
+	}
 	t.Stop()
-	t.ev = t.clock.At(at, t.fire)
+	t.ev = c.At(at, t.fire)
 }
 
 // ResetAfter (re)arms the timer to fire d from now.
@@ -402,11 +448,18 @@ func (t *Timer) fire() {
 // Stop disarms the timer. It reports whether a pending firing was
 // prevented.
 func (t *Timer) Stop() bool {
-	if t.ev == nil {
+	e := t.ev
+	if e == nil {
 		return false
 	}
-	t.ev.Cancel()
 	t.ev = nil
+	if e.idx >= 0 {
+		// The timer holds the only handle: recycle the event now
+		// rather than leave it in the heap until its deadline.
+		t.clock.release(t.clock.heapRemove(e.idx))
+		return true
+	}
+	e.Cancel()
 	return true
 }
 

@@ -163,6 +163,73 @@ func TestTimerStop(t *testing.T) {
 	}
 }
 
+// TestTimerResetInPlaceMatchesCancelAndReschedule drives timers with
+// random re-arms and stops, interleaved with plain events, and checks
+// that they fire in exactly the order that cancelling and scheduling
+// a fresh event gives, while re-arms leave no dead events queued.
+func TestTimerResetInPlaceMatchesCancelAndReschedule(t *testing.T) {
+	f := func(ops []uint16) bool {
+		const timers = 4
+		var got, want []int
+		c := NewClock()
+		ref := NewClock()
+		tms := make([]*Timer, timers)
+		refEv := make([]*Event, timers)
+		for i := range tms {
+			i := i
+			tms[i] = NewTimer(c, func() { got = append(got, i) })
+		}
+		for step, op := range ops {
+			i, at := int(op%timers), Time(op/timers%64)*Time(time.Millisecond)
+			switch {
+			case op&0x8000 != 0: // stop
+				tms[i].Stop()
+				if refEv[i] != nil {
+					refEv[i].Cancel()
+					refEv[i] = nil
+				}
+			case op&0x4000 != 0: // a plain event at the same deadline
+				tag := timers + step
+				c.At(at, func() { got = append(got, tag) })
+				ref.At(at, func() { want = append(want, tag) })
+			default: // re-arm
+				tms[i].Reset(at)
+				if refEv[i] != nil {
+					refEv[i].Cancel()
+				}
+				i := i
+				refEv[i] = ref.At(at, func() { want = append(want, i); refEv[i] = nil })
+			}
+			if step%8 == 7 { // advance both clocks a little
+				if c.RunUntil(c.Now()+Time(time.Millisecond)) != nil || ref.RunUntil(ref.Now()+Time(time.Millisecond)) != nil {
+					return false
+				}
+			}
+			for _, e := range c.heap {
+				if e.dead {
+					return false // a re-arm or stop left a dead event
+				}
+			}
+		}
+		if c.Run() != nil || ref.Run() != nil {
+			return false
+		}
+		return fmt.Sprint(got) == fmt.Sprint(want)
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
+		t.Fatal(err)
+	}
+	// A timer re-armed many times keeps a single queued event.
+	c := NewClock()
+	tm := NewTimer(c, func() {})
+	for i := 1; i <= 1000; i++ {
+		tm.ResetAfter(time.Duration(i) * time.Millisecond)
+	}
+	if c.Pending() != 1 {
+		t.Fatalf("%d events queued after 1000 re-arms, want 1", c.Pending())
+	}
+}
+
 func TestTimerDeadlineAndArmed(t *testing.T) {
 	c := NewClock()
 	tm := NewTimer(c, func() {})

@@ -63,7 +63,16 @@ func (s *IntervalSet) Add(start, end uint64) {
 		}
 		j++
 	}
-	s.ivs = append(s.ivs[:i], append([]Interval{newIv}, s.ivs[j:]...)...)
+	// Replace ivs[i:j] by newIv in place; only a pure insertion (j ==
+	// i) grows the slice.
+	if j == i {
+		s.ivs = append(s.ivs, Interval{})
+		copy(s.ivs[i+1:], s.ivs[i:])
+		s.ivs[i] = newIv
+		return
+	}
+	s.ivs[i] = newIv
+	s.ivs = append(s.ivs[:i+1], s.ivs[j:]...)
 }
 
 // Remove deletes [start, end) from the set, splitting as needed.

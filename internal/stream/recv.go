@@ -13,9 +13,13 @@ import (
 type RecvStream struct {
 	id       wire.StreamID
 	received IntervalSet
-	// buf holds real-mode bytes, indexed by absolute offset. nil until
-	// real data arrives.
+	// buf holds real-mode bytes [base, base+len(buf)), a window that
+	// starts at or before readOffset and ends at the highest received
+	// byte: consumed bytes are reclaimed, so memory follows the unread
+	// span rather than the stream's length. nil until real data
+	// arrives, and again once the stream is finished.
 	buf        []byte
+	base       uint64
 	readOffset uint64
 	finOffset  uint64
 	hasFin     bool
@@ -38,6 +42,9 @@ func (r *RecvStream) OnFrame(f *wire.StreamFrame) (newBytes uint64, err error) {
 		if r.hasFin && r.finOffset != end {
 			return 0, fmt.Errorf("stream %d: conflicting FIN offsets %d and %d", r.id, r.finOffset, end)
 		}
+		if n := len(r.received.ivs); n > 0 && r.received.ivs[n-1].End > end {
+			return 0, fmt.Errorf("stream %d: FIN offset %d below received data", r.id, end)
+		}
 		r.hasFin = true
 		r.finOffset = end
 	}
@@ -50,34 +57,49 @@ func (r *RecvStream) OnFrame(f *wire.StreamFrame) (newBytes uint64, err error) {
 	before := r.received.Size()
 	r.received.Add(f.Offset, end)
 	newBytes = r.received.Size() - before
-	if f.Data != nil {
-		if uint64(len(r.buf)) < end {
-			if uint64(cap(r.buf)) >= end {
-				r.buf = r.buf[:end]
-			} else {
-				// Grow geometrically: extending by one frame at a time
-				// would reallocate and copy the whole reassembly buffer
-				// per packet — O(n²) over a transfer, and the dominant
-				// cost of a fast live-mode download. When the stream
-				// length is already known (FIN seen), size to it exactly.
-				newCap := uint64(cap(r.buf)) * 2
-				if newCap < end {
-					newCap = end
-				}
-				if newCap < 16<<10 {
-					newCap = 16 << 10
-				}
-				if r.hasFin && r.finOffset >= end && newCap > r.finOffset {
-					newCap = r.finOffset
-				}
-				grown := make([]byte, end, newCap)
-				copy(grown, r.buf)
-				r.buf = grown
-			}
+	if f.Data != nil && newBytes > 0 && end > r.readOffset {
+		data, start := f.Data, f.Offset
+		if start < r.readOffset {
+			data, start = data[r.readOffset-start:], r.readOffset
 		}
-		copy(r.buf[f.Offset:end], f.Data)
+		r.reserve(end)
+		copy(r.buf[start-r.base:], data)
 	}
 	return newBytes, nil
+}
+
+// reserve makes buf cover [readOffset, end). When end falls past the
+// buffer's capacity, the unread bytes move to the front of the buffer
+// if they fill at most half of it, and into a buffer twice their new
+// span otherwise. Either way the bytes moved are fewer than the free
+// space left behind, which later frames must fill before the next
+// move, so each received byte is copied at most once more (amortized)
+// and the capacity stays within twice the largest unread span.
+func (r *RecvStream) reserve(end uint64) {
+	if end-r.base <= uint64(cap(r.buf)) {
+		if n := end - r.base; n > uint64(len(r.buf)) {
+			r.buf = r.buf[:n]
+		}
+		return
+	}
+	var unread []byte
+	if lo := r.readOffset - r.base; lo < uint64(len(r.buf)) {
+		unread = r.buf[lo:]
+	}
+	need := end - r.readOffset
+	if need <= uint64(cap(r.buf))/2 {
+		copy(r.buf[:cap(r.buf)], unread)
+		r.buf = r.buf[:need]
+	} else {
+		newCap := 2 * need
+		if r.hasFin && r.finOffset-r.readOffset < newCap {
+			newCap = r.finOffset - r.readOffset // the stream's length is known
+		}
+		grown := make([]byte, need, newCap)
+		copy(grown, unread)
+		r.buf = grown
+	}
+	r.base = r.readOffset
 }
 
 // Readable reports contiguous bytes available past the read offset.
@@ -86,7 +108,10 @@ func (r *RecvStream) Readable() uint64 {
 }
 
 // Read consumes up to n contiguous bytes and returns how many were
-// consumed plus the real-mode bytes (nil in synthetic mode).
+// consumed plus the real-mode bytes (nil in synthetic mode). The
+// returned slice aliases the reassembly buffer: it stays valid only
+// until the next OnFrame call, which may move or overwrite it. Copy
+// the bytes to keep them longer.
 func (r *RecvStream) Read(n uint64) (consumed uint64, data []byte) {
 	avail := r.Readable()
 	if n > avail {
@@ -95,10 +120,13 @@ func (r *RecvStream) Read(n uint64) (consumed uint64, data []byte) {
 	if n == 0 {
 		return 0, nil
 	}
-	if r.buf != nil && uint64(len(r.buf)) >= r.readOffset+n {
-		data = r.buf[r.readOffset : r.readOffset+n]
+	if lo := r.readOffset - r.base; r.buf != nil && lo+n <= uint64(len(r.buf)) {
+		data = r.buf[lo : lo+n]
 	}
 	r.readOffset += n
+	if r.Finished() {
+		r.buf, r.base = nil, r.readOffset // nothing more can arrive
+	}
 	return n, data
 }
 
