@@ -12,23 +12,18 @@ import (
 	"mpquic/internal/wire"
 )
 
-// rpcConfig is the live stack's configuration: multipath, every packet
-// serialized and sealed, so responses arrive as real bytes.
-func rpcConfig() core.Config {
+// runSequentialGets runs n GETs one after another on one connection,
+// each on a fresh stream opened when the previous response finished,
+// and calls after(i) once response i has been read. The stack runs as
+// in live mode (multipath, every packet serialized and sealed), so
+// responses arrive as real bytes. Response sizes (100 B to about 5 KB)
+// repeat every 100 requests, so any two windows of 100 requests
+// aligned to that period carry the same bytes.
+func runSequentialGets(t *testing.T, n int, after func(i int, h *harness)) *harness {
+	t.Helper()
 	cfg := core.DefaultConfig()
 	cfg.WireSerialization = true
 	cfg.EnableCrypto = true
-	return cfg
-}
-
-// runSequentialGets runs n GETs one after another on one connection,
-// each on a fresh stream opened when the previous response finished,
-// and calls after(i) once response i has been read. Response sizes
-// (100 B to about 5 KB) repeat every 100 requests, so any two windows
-// of 100 requests aligned to that period carry the same bytes.
-func runSequentialGets(t *testing.T, n int, after func(i int, h *harness)) *harness {
-	t.Helper()
-	cfg := rpcConfig()
 	h := newHarness(t, cfg, cfg, symSpecs(100, 2*time.Millisecond))
 	apps.NewGetServer(h.listener)
 	done := 0
@@ -44,9 +39,7 @@ func runSequentialGets(t *testing.T, n int, after func(i int, h *harness)) *harn
 				return
 			}
 			done++
-			if after != nil {
-				after(done, h)
-			}
+			after(done, h)
 			if done < n {
 				issue()
 			}

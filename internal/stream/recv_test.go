@@ -193,7 +193,7 @@ func (m *recvModel) onFrame(off uint64, data []byte, fin bool) (uint64, bool) {
 	if fin && ((m.hasFin && m.fin != end) || hi > end) {
 		return 0, false
 	}
-	if (m.hasFin || fin) && end > m.finOr(end) {
+	if m.hasFin && end > m.fin {
 		return 0, false
 	}
 	if fin {
@@ -212,13 +212,6 @@ func (m *recvModel) onFrame(off uint64, data []byte, fin bool) (uint64, bool) {
 		}
 	}
 	return fresh, true
-}
-
-func (m *recvModel) finOr(end uint64) uint64 {
-	if m.hasFin {
-		return m.fin
-	}
-	return end
 }
 
 func (m *recvModel) readable() uint64 {
@@ -248,7 +241,7 @@ func FuzzRecvStream(f *testing.F) {
 					t.Fatalf("read %d %x, want %x", n, data, want)
 				}
 				m.read += n
-			} else { // frame [a*16+b, +c*(op%4)), FIN on odd ops
+			} else { // frame [a*16+b, +c*(op%4)), FIN when op has bit 4
 				off, n, fin := a*16+b, c*uint64(op%4), op&0x10 != 0
 				data := make([]byte, n)
 				for i := range data {
