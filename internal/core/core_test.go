@@ -129,12 +129,33 @@ func TestSinglePathDownloadGoodput(t *testing.T) {
 	if gp < 5 || gp > 20 {
 		t.Fatalf("goodput %.1f Mbps out of range", gp)
 	}
-	// The QUIC baseline: one path at each end, running CUBIC.
-	if len(h.client.Paths()) != 1 || len(h.serverConn(t).Paths()) != 1 {
-		t.Fatalf("%d client / %d server paths on a single-path connection",
-			len(h.client.Paths()), len(h.serverConn(t).Paths()))
+}
+
+// TestSinglePathBaselineTransfer pins the paper's QUIC baseline (§4.1):
+// DefaultSinglePathConfig over one link completes a GET on exactly one
+// path at each end, running CUBIC.
+func TestSinglePathBaselineTransfer(t *testing.T) {
+	clock := sim.NewClock()
+	nw := netem.New(clock, sim.NewRand(1))
+	nw.Connect("c:1", "s:443", netem.LinkConfig{RateMbps: 10, Delay: 15 * time.Millisecond, QueueDelay: 100 * time.Millisecond})
+	cfg := core.DefaultSinglePathConfig()
+	lis := core.Listen(nw, cfg, []netem.Addr{"s:443"})
+	apps.NewGetServer(lis)
+	client := core.Dial(nw, cfg, 5, []netem.Addr{"c:1"}, []netem.Addr{"s:443"})
+	var res *apps.GetResult
+	apps.NewGetClient(client, 1<<20, func() time.Duration { return clock.Now().Duration() },
+		func(r apps.GetResult) { res = &r })
+	if err := clock.RunUntil(sim.Time(60 * time.Second)); err != nil {
+		t.Fatal(err)
 	}
-	if name := h.client.Paths()[0].CC().Name(); name != "cubic" {
+	if res == nil {
+		t.Fatal("transfer did not finish")
+	}
+	if len(client.Paths()) != 1 || len(lis.Conns()[0].Paths()) != 1 {
+		t.Fatalf("%d client / %d server paths on a single-path connection",
+			len(client.Paths()), len(lis.Conns()[0].Paths()))
+	}
+	if name := client.Paths()[0].CC().Name(); name != "cubic" {
 		t.Fatalf("baseline must run CUBIC, got %s", name)
 	}
 }

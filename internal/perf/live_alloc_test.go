@@ -42,14 +42,6 @@ func TestLiveDriverAllocPerPacketSteadyState(t *testing.T) {
 	txAddr := sender.LocalAddrs()[0]
 	receiver.Register(rxAddr, &nullHandler{})
 
-	// The receiver loop runs in server mode: ingest batches recycle
-	// ring buffers as fast as the reader draws them, which is the
-	// steady state whose allocation count we are pinning. Its work is
-	// included in the measurement (AllocsPerRun counts all
-	// goroutines).
-	go receiver.Run(nil)
-	defer receiver.Close()
-
 	payloadLen := SamplePayloadLen()
 	sendOne := func() {
 		buf := wire.GetPacketBuf()[:payloadLen]
@@ -59,15 +51,42 @@ func TestLiveDriverAllocPerPacketSteadyState(t *testing.T) {
 		}
 	}
 
-	// Warm-up: intern the remote lookup, fill the receiver's buffer
-	// ring, and let the wire pool reach steady state.
+	const runs, perRun = 50, 16
+	// Fill the receiver's buffer ring before its loop starts. The
+	// ring only grows when the reader finds it empty, so its depth is
+	// the deepest backlog seen so far; a warm-up the loop drains as it
+	// goes leaves it shallow, and a scheduling stall inside the
+	// measured window then allocates fresh buffers. With the loop not
+	// yet running, every datagram the reader takes parks in the
+	// ingress queue on a buffer of its own; once the loop drains them
+	// the ring holds more buffers than the measured window (plus
+	// AllocsPerRun's warm-up call) can ever have in flight.
+	const ringFill = (runs+1)*perRun + 64
+	deadline := time.Now().Add(5 * time.Second)
+	for receiver.PendingIngress() < ringFill && time.Now().Before(deadline) {
+		for i := 0; i < 64; i++ {
+			sendOne()
+		}
+		time.Sleep(time.Millisecond) // let the reader catch up with the kernel queue
+	}
+
+	// The receiver loop runs in server mode: ingest batches recycle
+	// ring buffers as fast as the reader draws them, which is the
+	// steady state whose allocation count we are pinning. Its work is
+	// included in the measurement (AllocsPerRun counts all
+	// goroutines).
+	go receiver.Run(nil)
+	defer receiver.Close()
+
+	// Warm-up: intern the remote lookup, let the loop recycle the
+	// parked buffers into the ring, and let the wire pool reach steady
+	// state.
 	for i := 0; i < 512; i++ {
 		sendOne()
 	}
 	time.Sleep(100 * time.Millisecond) // let the receiver drain and recycle
 
-	const perRun = 16
-	allocs := testing.AllocsPerRun(50, func() {
+	allocs := testing.AllocsPerRun(runs, func() {
 		for i := 0; i < perRun; i++ {
 			sendOne()
 		}
