@@ -562,8 +562,7 @@ func (c *Conn) requeueFrames(frames []wire.Frame) {
 		switch fr := f.(type) {
 		case *wire.StreamFrame:
 			// A retired stream's lost frame was acked through another
-			// copy and needs no resend; it still counts, as it did
-			// while finished streams were kept.
+			// copy and needs no resend.
 			if s, ok := c.streams[fr.StreamID]; ok {
 				s.send.OnFrameLost(fr.Offset, fr.Len(), fr.Fin)
 			}

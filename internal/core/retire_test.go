@@ -8,18 +8,19 @@ import (
 	"mpquic/internal/apps"
 	"mpquic/internal/core"
 	"mpquic/internal/netem"
+	"mpquic/internal/recovery"
 	"mpquic/internal/sim"
 	"mpquic/internal/wire"
 )
 
 // runSequentialGets runs n GETs one after another on one connection,
-// each on a fresh stream opened when the previous response finished,
-// and calls after(i) once response i has been read. The stack runs as
+// each on a fresh stream opened pause after the previous response
+// finished, and calls after(i) once response i has been read. The stack runs as
 // in live mode (multipath, every packet serialized and sealed), so
 // responses arrive as real bytes. Response sizes (100 B to about 5 KB)
 // repeat every 100 requests, so any two windows of 100 requests
 // aligned to that period carry the same bytes.
-func runSequentialGets(t *testing.T, n int, after func(i int, h *harness)) *harness {
+func runSequentialGets(t *testing.T, n int, pause time.Duration, after func(i int, h *harness)) *harness {
 	t.Helper()
 	cfg := core.DefaultConfig()
 	cfg.WireSerialization = true
@@ -40,7 +41,11 @@ func runSequentialGets(t *testing.T, n int, after func(i int, h *harness)) *harn
 			}
 			done++
 			after(done, h)
-			if done < n {
+			switch {
+			case done == n:
+			case pause > 0:
+				h.clock.After(pause, issue)
+			default:
 				issue()
 			}
 		})
@@ -48,7 +53,7 @@ func runSequentialGets(t *testing.T, n int, after func(i int, h *harness)) *harn
 		s.Close()
 	}
 	h.client.OnHandshakeComplete(issue)
-	h.run(t, 60*time.Second) // about 12 s of requests, then idle
+	h.run(t, 60*time.Second+time.Duration(n)*pause) // about 12 s of exchanges, then idle
 	if done != n {
 		t.Fatalf("%d of %d requests finished", done, n)
 	}
@@ -58,22 +63,19 @@ func runSequentialGets(t *testing.T, n int, after func(i int, h *harness)) *harn
 // TestSequentialStreamsRetire runs 5,000 requests on one connection:
 // the streams either endpoint tracks stay bounded by what is in flight,
 // not by the connection's history, and none outlive the exchange.
+// Each request waits out the client's delayed-ACK timer, so the
+// server has had the ACK of every earlier response.
 func TestSequentialStreamsRetire(t *testing.T) {
 	maxLive := [2]int{}
-	h := runSequentialGets(t, 5000, func(i int, h *harness) {
+	h := runSequentialGets(t, 5000, recovery.MaxAckDelay+5*time.Millisecond, func(i int, h *harness) {
 		for j, c := range []*core.Conn{h.client, h.serverConn(t)} {
 			if n := c.LiveStreams(); n > maxLive[j] {
 				maxLive[j] = n
 			}
 		}
 	})
-	// The client's stream retires as it reads the last byte of its
-	// response. The server's waits for the client's ACK of that
-	// response, which the client may hold back (one ACK per two
-	// packets on a path, or after the delayed-ACK timer), so the next
-	// two requests can arrive meanwhile.
-	if maxLive[0] > 2 || maxLive[1] > 3 {
-		t.Fatalf("up to %d client / %d server live streams, want <= 2 / <= 3", maxLive[0], maxLive[1])
+	if maxLive[0] > 2 || maxLive[1] > 2 {
+		t.Fatalf("up to %d client / %d server live streams, want <= 2", maxLive[0], maxLive[1])
 	}
 	if c, s := h.client.LiveStreams(), h.serverConn(t).LiveStreams(); c != 0 || s != 0 {
 		t.Fatalf("%d client / %d server streams live after the last response", c, s)
@@ -88,7 +90,7 @@ func TestPerRequestAllocationStaysFlat(t *testing.T) {
 	var ms runtime.MemStats
 	var early, late, mark, heap200 uint64
 	var retained int64
-	runSequentialGets(t, 5000, func(i int, h *harness) {
+	runSequentialGets(t, 5000, 0, func(i int, h *harness) {
 		switch i {
 		case 100, 4900:
 			runtime.ReadMemStats(&ms)

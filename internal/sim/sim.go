@@ -224,21 +224,14 @@ func (c *Clock) heapRemove(i int) *Event {
 	last := h[n]
 	h[n] = nil
 	c.heap = h[:n]
-	if i < n {
-		c.heapFix(last, i)
+	switch {
+	case i == n: // the last slot itself: nothing moved
+	case i > 0 && eventLess(last, h[(i-1)/2]):
+		c.siftUp(last, i)
+	default:
+		c.siftDown(last, i)
 	}
 	return out
-}
-
-// heapFix restores heap order after e, at slot i, changed deadline.
-//
-//mpq:noescape
-func (c *Clock) heapFix(e *Event, i int) {
-	if i > 0 && eventLess(e, c.heap[(i-1)/2]) {
-		c.siftUp(e, i)
-	} else {
-		c.siftDown(e, i)
-	}
 }
 
 // heapPop removes and returns the heap minimum. The caller guarantees
@@ -421,20 +414,10 @@ func NewTimer(c *Clock, fn func()) *Timer {
 }
 
 // Reset (re)arms the timer to fire at absolute time at, replacing any
-// previously armed deadline. A pending future deadline is moved in
-// place, so a timer re-armed on every packet leaves no cancelled
-// events behind. The moved event takes the next sequence number, as a
-// fresh At would, so the firing order is the same either way.
+// previously armed deadline.
 func (t *Timer) Reset(at Time) {
-	c := t.clock
-	if e := t.ev; e != nil && e.idx >= 0 && at > c.now {
-		e.at, e.seq = at, c.seq
-		c.seq++
-		c.heapFix(e, e.idx)
-		return
-	}
 	t.Stop()
-	t.ev = c.At(at, t.fire)
+	t.ev = t.clock.At(at, t.fire)
 }
 
 // ResetAfter (re)arms the timer to fire d from now.

@@ -163,11 +163,12 @@ func TestTimerStop(t *testing.T) {
 	}
 }
 
-// TestTimerResetInPlaceMatchesCancelAndReschedule drives timers with
+// TestTimerResetStopLeaveNoDeadEventsAndKeepOrder drives timers with
 // random re-arms and stops, interleaved with plain events, and checks
 // that they fire in exactly the order that cancelling and scheduling
-// a fresh event gives, while re-arms leave no dead events queued.
-func TestTimerResetInPlaceMatchesCancelAndReschedule(t *testing.T) {
+// a fresh event gives, while re-arms and stops leave no dead events
+// queued.
+func TestTimerResetStopLeaveNoDeadEventsAndKeepOrder(t *testing.T) {
 	f := func(ops []uint16) bool {
 		const timers = 4
 		var got, want []int
