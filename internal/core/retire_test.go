@@ -15,9 +15,9 @@ import (
 
 // runSequentialGets runs n GETs one after another on one connection,
 // each on a fresh stream opened pause after the previous response
-// finished, and calls after(i) once response i has been read. The stack runs as
-// in live mode (multipath, every packet serialized and sealed), so
-// responses arrive as real bytes. Response sizes (100 B to about 5 KB)
+// finished, and calls after(i) once response i has been read. The
+// stack runs as in live mode (multipath, every packet serialized and
+// sealed), so responses arrive as real bytes. Response sizes (100 B to about 5 KB)
 // repeat every 100 requests, so any two windows of 100 requests
 // aligned to that period carry the same bytes.
 func runSequentialGets(t *testing.T, n int, pause time.Duration, after func(i int, h *harness)) *harness {
@@ -53,7 +53,7 @@ func runSequentialGets(t *testing.T, n int, pause time.Duration, after func(i in
 		s.Close()
 	}
 	h.client.OnHandshakeComplete(issue)
-	h.run(t, 60*time.Second+time.Duration(n)*pause) // about 12 s of exchanges, then idle
+	h.run(t, 60*time.Second+time.Duration(n)*pause) // the exchanges (12 s back to back), then idle
 	if done != n {
 		t.Fatalf("%d of %d requests finished", done, n)
 	}

@@ -403,21 +403,24 @@ func (c *Clock) RunUntil(deadline Time) error {
 // Timer is a re-armable single-shot timer bound to a Clock, analogous to
 // time.Timer but virtual. The zero value is unusable; use NewTimer.
 type Timer struct {
-	clock *Clock
-	ev    *Event
-	fn    func()
+	clock  *Clock
+	ev     *Event
+	fn     func()
+	fireFn func() // t.fire, bound once so re-arming allocates nothing
 }
 
 // NewTimer returns an unarmed timer that runs fn when it fires.
 func NewTimer(c *Clock, fn func()) *Timer {
-	return &Timer{clock: c, fn: fn}
+	t := &Timer{clock: c, fn: fn}
+	t.fireFn = t.fire
+	return t
 }
 
 // Reset (re)arms the timer to fire at absolute time at, replacing any
 // previously armed deadline.
 func (t *Timer) Reset(at Time) {
 	t.Stop()
-	t.ev = t.clock.At(at, t.fire)
+	t.ev = t.clock.At(at, t.fireFn)
 }
 
 // ResetAfter (re)arms the timer to fire d from now.

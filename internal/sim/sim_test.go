@@ -167,7 +167,7 @@ func TestTimerStop(t *testing.T) {
 // random re-arms and stops, interleaved with plain events, and checks
 // that they fire in exactly the order that cancelling and scheduling
 // a fresh event gives, while re-arms and stops leave no dead events
-// queued.
+// queued and a re-arm allocates nothing.
 func TestTimerResetStopLeaveNoDeadEventsAndKeepOrder(t *testing.T) {
 	f := func(ops []uint16) bool {
 		const timers = 4
@@ -228,6 +228,11 @@ func TestTimerResetStopLeaveNoDeadEventsAndKeepOrder(t *testing.T) {
 	}
 	if c.Pending() != 1 {
 		t.Fatalf("%d events queued after 1000 re-arms, want 1", c.Pending())
+	}
+	// Re-arming recycles the one event and its bound callback.
+	d := time.Millisecond
+	if n := testing.AllocsPerRun(100, func() { d++; tm.ResetAfter(d) }); n != 0 {
+		t.Fatalf("Reset allocates %v times per re-arm, want 0", n)
 	}
 }
 
